@@ -18,10 +18,12 @@
 //! * [`membership`] — the fixed node set plus the dynamic liveness view;
 //! * [`placement`] — rendezvous (highest-random-weight) placement: every
 //!   node computes the same primary/replica ranking with no coordinator;
-//! * [`replicator`] — the primary-side [`ReplicationSink`] (ships each
-//!   WAL record before the local append, attaches/catches-up replicas
-//!   synchronously on the frozen stream) and the replica-side
-//!   [`ReplicaHandler`] (durably logs shipments before acking);
+//! * [`replicator`] — the primary-side [`ReplicationSink`] (sends each
+//!   WAL record, lets the worker append and apply it while the shipment
+//!   is in flight, collects the acks before the reply; attaches and
+//!   catches up replicas synchronously on the frozen stream) and the
+//!   replica-side [`ReplicaHandler`] (durably logs shipments before
+//!   acking);
 //! * [`failover`] — seeded-heartbeat failure detection driving promotion.
 //!
 //! A [`MeshNode`] wires all four onto one [`Server`]. Clients are plain

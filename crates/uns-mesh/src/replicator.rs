@@ -2,27 +2,42 @@
 //! applier, both speaking the service's `Replicate` opcode.
 //!
 //! The WAL **is** the replication log. [`Replicator`] implements the
-//! server's [`ReplicationSink`]: the stream's owning worker hands it every
-//! record *before* appending locally, and the sink pushes the exact
-//! CRC-framed bytes to each replica and waits for the durable ack
-//! (log-before-ack on the replica). Because `encode_record` is
-//! deterministic and replicas apply through the same recovery machinery,
-//! a replica's durable state is byte-identical to the primary's by
-//! construction — promotion replays a log that is literally the same
-//! bytes.
+//! server's [`ReplicationSink`]: the stream's owning worker encodes each
+//! record once, [`ReplicationSink::send`]s it, appends the *same bytes*
+//! to its own log and applies the op while the shipment is in flight,
+//! then [`ReplicationSink::collect`]s the replicas' durable acks
+//! (log-before-ack on the replica) before it replies. The replica checks
+//! each shipped record once (length, CRC, opcode) and appends it verbatim,
+//! so its log is byte-identical to the primary's — promotion replays a
+//! log that is literally the same bytes.
 //!
-//! Ship-before-local-append bounds the crash window: a primary dying
-//! between ship and append leaves the replica at most one record *ahead*
-//! — an unacknowledged op the client's position resync classifies as
-//! applied — never behind on an acknowledged one.
+//! # Ship ordering
 //!
-//! Attach and catch-up run **synchronously inside `ship`**, on the worker
+//! Send and local append race, so a crash or failure between `send` and
+//! `collect` leaves the replica at most one record **ahead** (the ship
+//! landed, the local append did not) or one record **behind** (the local
+//! append landed, the ship did not) — only ever on the op in flight,
+//! which no client saw acknowledged; the client's position resync
+//! classifies it. Every acknowledged op is on every attached replica.
+//!
+//! A session whose ack was never collected (the worker panicked, or its
+//! local append failed) is drained on the next `send`: the stale ack is
+//! read as what it is — the replica's position — and never taken for the
+//! next record's. A replica found ahead of the primary is re-attached from
+//! the durable snapshot, which discards its extra record.
+//!
+//! Attach and catch-up run **synchronously inside `send`**, on the worker
 //! thread that owns the stream: the primary's WAL is frozen for the whole
 //! exchange, so the catch-up slice plus the shipped record is gap-free by
 //! construction, with no lock juggling. A replica whose generation matches
 //! resumes from its own durable position (an incremental slice of the
 //! primary's log); anything else gets the durable snapshot and the full
 //! log tail.
+//!
+//! Each stream's sessions sit behind their own lock, with the stream's
+//! metric handles cached beside them: only the owning worker ever waits
+//! on that lock, and no lock shared between streams is held across a
+//! network round trip.
 
 use crate::membership::Membership;
 use crate::placement::place;
@@ -35,14 +50,13 @@ use uns_metrics::TraceKind;
 use uns_service::client::ServiceClient;
 use uns_service::error::ServiceError;
 use uns_service::fault::{FaultPlan, FaultTransport};
-use uns_service::metrics::{stream_replication_handles, ServiceMetrics};
+use uns_service::metrics::{stream_replication_handles, ReplicationHandles, ServiceMetrics};
 use uns_service::protocol::{ErrorCode, Response};
 use uns_service::server::{ReplicaHandler, ReplicationSink};
 use uns_service::storage::StorageBackend;
 use uns_service::transport::Transport;
 use uns_service::wal::{
-    decode_record, parse_wal, DurableSnapshot, FsyncPolicy, WalOp, WalOpRef, WalWriter,
-    WAL_HEADER_LEN,
+    check_record, parse_wal, DurableSnapshot, FsyncPolicy, WalWriter, WAL_HEADER_LEN,
 };
 
 /// Soft cap on the record bytes of one catch-up shipment. Frames also
@@ -54,14 +68,6 @@ const CATCHUP_CHUNK_BYTES: u64 = 1 << 20;
 /// dead replica costs the op path one connect timeout per backoff window,
 /// not one per record.
 const ATTACH_BACKOFF: Duration = Duration::from_millis(250);
-
-fn op_ref(op: &WalOp) -> WalOpRef<'_> {
-    match op {
-        WalOp::Ingest(ids) => WalOpRef::Ingest(ids),
-        WalOp::Feed(ids) => WalOpRef::Feed(ids),
-        WalOp::Sample => WalOpRef::Sample,
-    }
-}
 
 fn error(code: ErrorCode, message: impl Into<String>) -> Response {
     Response::Error { code, message: message.into() }
@@ -269,33 +275,43 @@ impl ReplicaHandler for ReplicaApplier {
                 ),
             );
         }
+        // One validation pass over the whole shipment before anything
+        // lands: a corrupt record refuses the shipment and appends
+        // nothing, so the log never holds half of one.
         let mut offset = 0usize;
-        let mut seq = first_seq;
         while offset < records.len() {
-            let Some((op, consumed)) = decode_record(records, offset) else {
+            let Some(len) = check_record(records, offset) else {
                 return error(
                     ErrorCode::Other,
                     format!("corrupt replication record at byte {offset}"),
                 );
             };
-            offset += consumed;
-            if seq < writer.next_seq() {
-                // Already durable here (a resend overlapping the tail) —
-                // idempotent skip keeps the log exactly-once.
-                seq += 1;
-                continue;
-            }
-            if seq > writer.next_seq() {
-                return error(
-                    ErrorCode::Durability,
-                    format!(
-                        "sequence gap: shipment at {seq}, replica expects {}",
-                        writer.next_seq()
-                    ),
-                );
-            }
-            if let Err(err) = writer.append_op(op_ref(&op)) {
-                return error(ErrorCode::Durability, format!("replica append failed: {err}"));
+            offset += len;
+        }
+        if first_seq > writer.next_seq() {
+            return error(
+                ErrorCode::Durability,
+                format!(
+                    "sequence gap: shipment at {first_seq}, replica expects {}",
+                    writer.next_seq()
+                ),
+            );
+        }
+        let mut offset = 0usize;
+        let mut seq = first_seq;
+        while offset < records.len() {
+            // Checked above: the length field frames a valid record.
+            let len = 8 + u32::from_le_bytes(
+                records[offset..offset + 4].try_into().expect("checked record"),
+            ) as usize;
+            let record = &records[offset..offset + len];
+            offset += len;
+            // Records already durable here (a resend overlapping the
+            // tail) are skipped — the log stays exactly-once.
+            if seq == writer.next_seq() {
+                if let Err(err) = writer.append_encoded(record) {
+                    return error(ErrorCode::Durability, format!("replica append failed: {err}"));
+                }
             }
             seq += 1;
         }
@@ -314,13 +330,58 @@ impl ReplicaHandler for ReplicaApplier {
 // Primary side
 // ---------------------------------------------------------------------------
 
+/// One (stream, replica peer) replication session.
 struct Session {
+    peer: String,
     client: Option<ServiceClient<Box<dyn Transport>>>,
     /// The replica's durable position as of the last ack (0 before the
     /// first attach).
     next_seq: u64,
     /// Attach attempts are skipped until this instant after a failure.
     retry_at: Option<Instant>,
+    /// The shipment sent on `client` whose ack is still unread.
+    in_flight: Option<InFlight>,
+}
+
+/// A sent record awaiting its ack.
+#[derive(Clone, Copy)]
+struct InFlight {
+    generation: u64,
+    seq: u64,
+    bytes: u64,
+}
+
+impl Session {
+    fn detach(&mut self) {
+        self.client = None;
+        self.in_flight = None;
+        self.retry_at = Some(Instant::now() + ATTACH_BACKOFF);
+    }
+
+    /// Reads the ack of the shipment in flight, if any — also when it is
+    /// a stale one whose collect never ran: the session then knows the
+    /// replica holds that record, and the next ship re-attaches if the
+    /// primary's log does not. A failed read or a wrong ack detaches.
+    fn settle(&mut self, handles: &ReplicationHandles) {
+        let (Some(sent), Some(client)) = (self.in_flight.take(), self.client.as_mut()) else {
+            return;
+        };
+        match client.recv_replicate() {
+            Ok((generation, next_seq))
+                if generation == sent.generation && next_seq == sent.seq + 1 =>
+            {
+                self.next_seq = next_seq;
+                handles.shipped_bytes.add(sent.bytes);
+            }
+            _ => self.detach(),
+        }
+    }
+}
+
+/// One stream's replication state, behind its own lock.
+struct StreamSessions {
+    handles: ReplicationHandles,
+    sessions: Vec<Session>,
 }
 
 /// Attach counters, split by how much had to be shipped — the partition
@@ -347,7 +408,7 @@ pub struct Replicator {
     connect_timeout: Duration,
     op_timeout: Option<Duration>,
     fault_plan: Option<Arc<FaultPlan>>,
-    sessions: Mutex<HashMap<String, HashMap<String, Session>>>,
+    streams: Mutex<HashMap<String, Arc<Mutex<StreamSessions>>>>,
     attach_full: AtomicU64,
     attach_incremental: AtomicU64,
 }
@@ -379,7 +440,7 @@ impl Replicator {
             connect_timeout,
             op_timeout,
             fault_plan,
-            sessions: Mutex::new(HashMap::new()),
+            streams: Mutex::new(HashMap::new()),
             attach_full: AtomicU64::new(0),
             attach_incremental: AtomicU64::new(0),
         }
@@ -411,7 +472,7 @@ impl Replicator {
     /// Connects to `peer` and brings its copy of `stream` up to exactly
     /// `up_to_seq` (the sequence of the record about to ship — the
     /// primary's WAL holds everything before it and is frozen while the
-    /// owning worker sits in `ship`). Generation match resumes from the
+    /// owning worker sits in `send`). Generation match resumes from the
     /// replica's durable position; anything else ships snapshot + tail.
     fn attach(
         &self,
@@ -516,34 +577,64 @@ impl Replicator {
     }
 }
 
-impl ReplicationSink for Replicator {
-    fn ship(&self, stream: &str, generation: u64, seq: u64, record: &[u8]) {
+impl Replicator {
+    /// The replication state of `stream`, created on its first ship. The
+    /// shared map is locked only for this lookup.
+    fn stream_sessions(&self, stream: &str) -> Arc<Mutex<StreamSessions>> {
+        let mut streams = self.streams.lock().expect("replicator lock poisoned");
+        if let Some(entry) = streams.get(stream) {
+            return Arc::clone(entry);
+        }
+        let entry = Arc::new(Mutex::new(StreamSessions {
+            handles: stream_replication_handles(self.metrics.registry(), stream),
+            sessions: Vec::new(),
+        }));
+        streams.insert(stream.to_string(), Arc::clone(&entry));
+        entry
+    }
+
+    /// Matches the session set to the stream's placement over the live
+    /// view. Normally we are the placement primary; after a view change we
+    /// may briefly disagree — still ship to the placement set minus
+    /// ourselves so R copies exist either way.
+    fn place_sessions(&self, stream: &str, state: &mut StreamSessions) {
         let live = self.membership.live_names();
-        let Some(placement) = place(stream, &live, self.replication) else { return };
-        // Normally we are the placement primary; after a view change we
-        // may briefly disagree — still ship to the placement set minus
-        // ourselves so R copies exist either way.
-        let mut peers: Vec<String> = std::iter::once(placement.primary)
-            .chain(placement.replicas)
-            .filter(|p| *p != self.node)
-            .collect();
+        let mut peers: Vec<String> = place(stream, &live, self.replication)
+            .map(|placement| std::iter::once(placement.primary).chain(placement.replicas).collect())
+            .unwrap_or_default();
+        peers.retain(|peer| *peer != self.node);
         peers.truncate(self.replication);
-        let mut sessions = self.sessions.lock().expect("replicator lock poisoned");
-        let entry = sessions.entry(stream.to_string()).or_default();
-        entry.retain(|peer, _| peers.iter().any(|p| p == peer));
-        let handles = stream_replication_handles(self.metrics.registry(), stream);
-        for peer in &peers {
-            let session = entry.entry(peer.clone()).or_insert(Session {
-                client: None,
-                next_seq: 0,
-                retry_at: None,
-            });
+        state.sessions.retain(|session| peers.contains(&session.peer));
+        for peer in peers {
+            if !state.sessions.iter().any(|session| session.peer == peer) {
+                state.sessions.push(Session {
+                    peer,
+                    client: None,
+                    next_seq: 0,
+                    retry_at: None,
+                    in_flight: None,
+                });
+            }
+        }
+    }
+}
+
+impl ReplicationSink for Replicator {
+    fn send(&self, stream: &str, generation: u64, seq: u64, record: &[u8]) {
+        let entry = self.stream_sessions(stream);
+        let mut state = entry.lock().expect("replication session lock poisoned");
+        self.place_sessions(stream, &mut state);
+        let StreamSessions { handles, sessions } = &mut *state;
+        for session in sessions.iter_mut() {
+            // An ack nobody collected must be read before this ship, or
+            // it would be taken for this record's.
+            session.settle(handles);
             if session.client.is_none() || session.next_seq != seq {
                 if session.retry_at.is_some_and(|at| Instant::now() < at) {
                     continue; // still backing off a recent failure
                 }
                 session.client = None;
-                match self.attach(stream, generation, seq, peer) {
+                match self.attach(stream, generation, seq, &session.peer) {
                     Ok((client, next)) => {
                         session.client = Some(client);
                         session.next_seq = next;
@@ -558,19 +649,90 @@ impl ReplicationSink for Replicator {
                 }
             }
             let Some(client) = session.client.as_mut() else { continue };
-            match client.replicate(stream, generation, seq, None, record) {
-                Ok((got_gen, got_next)) if got_gen == generation && got_next == seq + 1 => {
-                    session.next_seq = got_next;
-                    handles.shipped_bytes.add(record.len() as u64);
+            match client.send_replicate(stream, generation, seq, None, record) {
+                Ok(()) => {
+                    let bytes = record.len() as u64;
+                    session.in_flight = Some(InFlight { generation, seq, bytes });
                 }
-                _ => {
-                    session.client = None;
-                    session.retry_at = Some(Instant::now() + ATTACH_BACKOFF);
-                }
+                Err(_) => session.detach(),
+            }
+        }
+    }
+
+    fn collect(&self, stream: &str, seq: u64) {
+        let entry = self.stream_sessions(stream);
+        let mut state = entry.lock().expect("replication session lock poisoned");
+        let StreamSessions { handles, sessions } = &mut *state;
+        for session in sessions.iter_mut() {
+            if session.in_flight.is_some_and(|sent| sent.seq == seq) {
+                session.settle(handles);
             }
         }
         let primary_next = seq + 1;
-        let min_next = entry.values().map(|s| s.next_seq).min().unwrap_or(primary_next);
+        let min_next = sessions.iter().map(|s| s.next_seq).min().unwrap_or(primary_next);
         handles.lag.set_u64(primary_next.saturating_sub(min_next));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use uns_core::NodeId;
+    use uns_service::storage::MemBackend;
+    use uns_service::wal::{encode_record, DurabilityStats, WalOpRef};
+
+    fn wal_bytes(backend: &MemBackend, stream: &str) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        backend.with_wal_bytes(stream, |b| bytes = b.clone());
+        bytes
+    }
+
+    #[test]
+    fn shipment_with_one_corrupt_crc_byte_is_refused_and_appends_nothing() {
+        let backend = Arc::new(MemBackend::new());
+        let applier = ReplicaApplier::new(backend.clone(), FsyncPolicy::PerOp);
+        let snapshot = DurableSnapshot {
+            generation: 3,
+            seq: 0,
+            elements: 0,
+            admitted: 0,
+            outputs: 0,
+            chunks: 0,
+            durability: DurabilityStats::default(),
+            sampler_blob: vec![1, 2, 3],
+        };
+        let mut blob = Vec::new();
+        snapshot.encode(&mut blob);
+        let ids: Vec<NodeId> = (0..8).map(NodeId::new).collect();
+        let mut first = Vec::new();
+        encode_record(&mut first, WalOpRef::Feed(&ids));
+        let reply = applier.apply("s", 3, 0, Some(&blob), &first);
+        assert_eq!(reply, Response::ReplState { generation: 3, next_seq: 1 });
+        let before = wal_bytes(&backend, "s");
+
+        // Two valid records, then one whose CRC has a flipped byte: the
+        // whole shipment is refused, the valid prefix included.
+        let mut shipment = Vec::new();
+        encode_record(&mut shipment, WalOpRef::Ingest(&ids));
+        encode_record(&mut shipment, WalOpRef::Sample);
+        let corrupt_at = shipment.len() + 4; // first CRC byte of record 3
+        encode_record(&mut shipment, WalOpRef::Feed(&ids));
+        shipment[corrupt_at] ^= 0x01;
+        match applier.apply("s", 3, 1, None, &shipment) {
+            Response::Error { code: ErrorCode::Other, message } => {
+                assert!(message.contains("corrupt"), "unexpected message: {message}");
+            }
+            other => panic!("corrupt shipment accepted: {other:?}"),
+        }
+        assert_eq!(wal_bytes(&backend, "s"), before, "a refused shipment appended bytes");
+        assert_eq!(applier.position("s"), Some((3, 1)));
+
+        // The same shipment intact lands verbatim after the first record.
+        shipment[corrupt_at] ^= 0x01;
+        let reply = applier.apply("s", 3, 1, None, &shipment);
+        assert_eq!(reply, Response::ReplState { generation: 3, next_seq: 4 });
+        let mut expect = before;
+        expect.extend_from_slice(&shipment);
+        assert_eq!(wal_bytes(&backend, "s"), expect);
     }
 }

@@ -3,7 +3,7 @@
 use crate::error::ServiceError;
 use crate::protocol::{Request, Response, StreamConfig, StreamStats};
 use crate::transport::Transport;
-use crate::wire::{read_frame, write_frame};
+use crate::wire::{read_frame, write_encoded_frame};
 use uns_core::NodeId;
 
 /// Acknowledgement of an input-only batch.
@@ -68,16 +68,40 @@ impl<T: Transport> ServiceClient<T> {
         Ok(())
     }
 
-    fn round_trip(&mut self) -> Result<Response, ServiceError> {
-        write_frame(&mut self.writer, &self.send_buf)?;
+    /// Sends the frame in `send_buf` with one write.
+    fn send(&mut self) -> Result<(), ServiceError> {
+        write_encoded_frame(&mut self.writer, &self.send_buf)
+    }
+
+    /// Reads and decodes the next reply.
+    fn recv(&mut self) -> Result<Response, ServiceError> {
         if !read_frame(&mut self.reader, &mut self.recv_buf)? {
             return Err(ServiceError::Protocol("server hung up mid-request".into()));
         }
         Response::decode(&self.recv_buf)?.into_result()
     }
 
-    fn expect_ok(&mut self) -> Result<(), ServiceError> {
-        match self.round_trip()? {
+    fn round_trip(&mut self, request: &Request<'_>) -> Result<Response, ServiceError> {
+        self.send_buf.clear();
+        request.encode_frame(&mut self.send_buf);
+        self.send()?;
+        self.recv()
+    }
+
+    fn batch_round_trip(
+        &mut self,
+        feed: bool,
+        name: &str,
+        ids: &[NodeId],
+    ) -> Result<Response, ServiceError> {
+        self.send_buf.clear();
+        Request::encode_batch_frame(&mut self.send_buf, feed, name, ids);
+        self.send()?;
+        self.recv()
+    }
+
+    fn expect_ok(&mut self, request: &Request<'_>) -> Result<(), ServiceError> {
+        match self.round_trip(request)? {
             Response::Ok => Ok(()),
             other => Err(ServiceError::Protocol(format!("unexpected response {other:?}"))),
         }
@@ -90,8 +114,7 @@ impl<T: Transport> ServiceClient<T> {
     /// [`ServiceError::StreamExists`], [`ServiceError::InvalidConfig`],
     /// [`ServiceError::Busy`], or transport/protocol failures.
     pub fn create_stream(&mut self, name: &str, config: &StreamConfig) -> Result<(), ServiceError> {
-        Request::CreateStream { name, config: *config }.encode(&mut self.send_buf);
-        self.expect_ok()
+        self.expect_ok(&Request::CreateStream { name, config: *config })
     }
 
     /// Input-only batch: evolves the stream's sampler, no output samples.
@@ -101,8 +124,7 @@ impl<T: Transport> ServiceClient<T> {
     /// [`ServiceError::UnknownStream`], [`ServiceError::Busy`], or
     /// transport/protocol failures.
     pub fn ingest(&mut self, name: &str, ids: &[NodeId]) -> Result<IngestAck, ServiceError> {
-        Request::encode_batch(&mut self.send_buf, false, name, ids);
-        match self.round_trip()? {
+        match self.batch_round_trip(false, name, ids)? {
             Response::Ingested { position, admitted } => Ok(IngestAck { position, admitted }),
             other => Err(ServiceError::Protocol(format!("unexpected response {other:?}"))),
         }
@@ -114,8 +136,7 @@ impl<T: Transport> ServiceClient<T> {
     ///
     /// As [`ServiceClient::ingest`].
     pub fn feed_batch(&mut self, name: &str, ids: &[NodeId]) -> Result<FeedAck, ServiceError> {
-        Request::encode_batch(&mut self.send_buf, true, name, ids);
-        match self.round_trip()? {
+        match self.batch_round_trip(true, name, ids)? {
             Response::Fed { position, admitted, outputs } => {
                 Ok(FeedAck { position, admitted, outputs })
             }
@@ -129,8 +150,7 @@ impl<T: Transport> ServiceClient<T> {
     ///
     /// As [`ServiceClient::ingest`].
     pub fn sample(&mut self, name: &str) -> Result<Option<NodeId>, ServiceError> {
-        Request::Sample { name }.encode(&mut self.send_buf);
-        match self.round_trip()? {
+        match self.round_trip(&Request::Sample { name })? {
             Response::Sampled(sample) => Ok(sample),
             other => Err(ServiceError::Protocol(format!("unexpected response {other:?}"))),
         }
@@ -142,8 +162,7 @@ impl<T: Transport> ServiceClient<T> {
     ///
     /// As [`ServiceClient::ingest`].
     pub fn floor_estimate(&mut self, name: &str) -> Result<u64, ServiceError> {
-        Request::FloorEstimate { name }.encode(&mut self.send_buf);
-        match self.round_trip()? {
+        match self.round_trip(&Request::FloorEstimate { name })? {
             Response::Value(value) => Ok(value),
             other => Err(ServiceError::Protocol(format!("unexpected response {other:?}"))),
         }
@@ -155,8 +174,7 @@ impl<T: Transport> ServiceClient<T> {
     ///
     /// As [`ServiceClient::ingest`].
     pub fn snapshot(&mut self, name: &str) -> Result<Vec<u8>, ServiceError> {
-        Request::Snapshot { name }.encode(&mut self.send_buf);
-        match self.round_trip()? {
+        match self.round_trip(&Request::Snapshot { name })? {
             Response::Snapshot(blob) => Ok(blob),
             other => Err(ServiceError::Protocol(format!("unexpected response {other:?}"))),
         }
@@ -170,8 +188,7 @@ impl<T: Transport> ServiceClient<T> {
     /// [`ServiceError::Snapshot`] on a rejected blob; otherwise as
     /// [`ServiceClient::ingest`].
     pub fn restore(&mut self, name: &str, snapshot: &[u8]) -> Result<(), ServiceError> {
-        Request::Restore { name, snapshot }.encode(&mut self.send_buf);
-        self.expect_ok()
+        self.expect_ok(&Request::Restore { name, snapshot })
     }
 
     /// Scrapes the server's full Prometheus text exposition over the wire
@@ -183,8 +200,7 @@ impl<T: Transport> ServiceClient<T> {
     ///
     /// Transport/protocol failures.
     pub fn metrics(&mut self) -> Result<String, ServiceError> {
-        Request::Metrics.encode(&mut self.send_buf);
-        match self.round_trip()? {
+        match self.round_trip(&Request::Metrics)? {
             Response::Metrics(text) => Ok(text),
             other => Err(ServiceError::Protocol(format!("unexpected response {other:?}"))),
         }
@@ -198,7 +214,9 @@ impl<T: Transport> ServiceClient<T> {
     /// payload is durably applied (log-before-ack).
     ///
     /// This is the primary→replica leg of the mesh's replication
-    /// protocol; ordinary clients never call it.
+    /// protocol; ordinary clients never call it. It is
+    /// [`ServiceClient::send_replicate`] followed by
+    /// [`ServiceClient::recv_replicate`].
     ///
     /// # Errors
     ///
@@ -213,9 +231,41 @@ impl<T: Transport> ServiceClient<T> {
         snapshot: Option<&[u8]>,
         records: &[u8],
     ) -> Result<(u64, u64), ServiceError> {
+        self.send_replicate(name, generation, first_seq, snapshot, records)?;
+        self.recv_replicate()
+    }
+
+    /// The send half of [`ServiceClient::replicate`]: writes the shipment
+    /// and returns without waiting. Exactly one
+    /// [`ServiceClient::recv_replicate`] must follow before the next
+    /// request on this client, or the connection must be dropped —
+    /// otherwise the unread ack would be taken for the next reply.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures and an over-cap shipment.
+    pub fn send_replicate(
+        &mut self,
+        name: &str,
+        generation: u64,
+        first_seq: u64,
+        snapshot: Option<&[u8]>,
+        records: &[u8],
+    ) -> Result<(), ServiceError> {
+        self.send_buf.clear();
         Request::Replicate { name, generation, first_seq, snapshot, records }
-            .encode(&mut self.send_buf);
-        match self.round_trip()? {
+            .encode_frame(&mut self.send_buf);
+        self.send()
+    }
+
+    /// The receive half of [`ServiceClient::replicate`]: waits for the
+    /// replica's `(generation, next_seq)` ack of the shipment sent last.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServiceClient::replicate`].
+    pub fn recv_replicate(&mut self) -> Result<(u64, u64), ServiceError> {
+        match self.recv()? {
             Response::ReplState { generation, next_seq } => Ok((generation, next_seq)),
             other => Err(ServiceError::Protocol(format!("unexpected response {other:?}"))),
         }
@@ -227,8 +277,7 @@ impl<T: Transport> ServiceClient<T> {
     ///
     /// As [`ServiceClient::ingest`].
     pub fn stats(&mut self, name: &str) -> Result<StreamStats, ServiceError> {
-        Request::Stats { name }.encode(&mut self.send_buf);
-        match self.round_trip()? {
+        match self.round_trip(&Request::Stats { name })? {
             Response::Stats(stats) => Ok(stats),
             other => Err(ServiceError::Protocol(format!("unexpected response {other:?}"))),
         }

@@ -127,6 +127,9 @@ pub struct FaultPlan {
     /// (0 = healed). Shared by every transport wrapped under this plan,
     /// so a sever cuts the whole node, not one connection.
     severed: AtomicU64,
+    /// Mutating worker ops left to panic on top of the drawn rate (see
+    /// [`FaultPlan::panic_next_worker_ops`]).
+    forced_panics: AtomicU64,
     /// Optional trace sink: when a server binds its [`TraceLog`], every
     /// fault that actually fires leaves a structured event, so a failing
     /// seeded run can be read back as "what did the plan do, in order".
@@ -146,6 +149,7 @@ impl FaultPlan {
             worker_draws: AtomicU64::new(0),
             partition_draws: AtomicU64::new(0),
             severed: AtomicU64::new(0),
+            forced_panics: AtomicU64::new(0),
             trace: OnceLock::new(),
         })
     }
@@ -232,13 +236,26 @@ impl FaultPlan {
     }
 
     /// Whether the next mutating worker op panics (drawn by the server
-    /// before the WAL append, so a panicked op is never logged or acked).
+    /// after the replication send and before the local WAL append, so a
+    /// panicked op is never logged here, never applied, never acked).
     pub fn worker_panics(&self) -> bool {
-        let panics = Self::hit(self.draw(FaultSite::WorkerOp), self.spec.worker_panic_per_mille);
+        let drawn = Self::hit(self.draw(FaultSite::WorkerOp), self.spec.worker_panic_per_mille);
+        let forced = self
+            .forced_panics
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1));
+        let panics = drawn || forced.is_ok();
         if panics {
             self.record(TraceKind::FaultPanic, 0, 0);
         }
         panics
+    }
+
+    /// Makes the next `ops` mutating worker ops panic regardless of the
+    /// drawn rate — the explicit handle for tests that script a panic at
+    /// a chosen op (the seeded draws are still consumed, so the rest of
+    /// the schedule is unchanged).
+    pub fn panic_next_worker_ops(&self, ops: u64) {
+        self.forced_panics.store(ops, Ordering::Relaxed);
     }
 
     /// Severs every transport under this plan for the next `ops`

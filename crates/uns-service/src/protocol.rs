@@ -13,7 +13,7 @@
 
 use crate::error::ServiceError;
 use crate::wal::DurabilityStats;
-use crate::wire::{put_str, put_u32, put_u64, Cursor, MAX_FRAME_LEN, PROTOCOL_VERSION};
+use crate::wire::{put_frame, put_str, put_u32, put_u64, Cursor, MAX_FRAME_LEN, PROTOCOL_VERSION};
 use uns_core::NodeId;
 use uns_sim::PipelineStats;
 pub use uns_sketch::HashFamilyKind;
@@ -146,10 +146,18 @@ impl<'a> IdsView<'a> {
 /// Panics if the batch exceeds `u32::MAX` identifiers (such a frame would
 /// be rejected by the frame-length cap long before).
 pub fn put_ids(out: &mut Vec<u8>, ids: &[NodeId]) {
+    out.reserve(4 + ids.len() * 8);
     put_u32(out, u32::try_from(ids.len()).expect("batch exceeds u32::MAX identifiers"));
     for id in ids {
         put_u64(out, id.as_u64());
     }
+}
+
+fn put_batch(out: &mut Vec<u8>, feed: bool, name: &str, ids: &[NodeId]) {
+    out.push(PROTOCOL_VERSION);
+    out.push(if feed { OP_FEED_BATCH } else { OP_INGEST });
+    put_str(out, name);
+    put_ids(out, ids);
 }
 
 /// A client request, borrowing name and batch bytes from the frame buffer.
@@ -251,6 +259,16 @@ impl<'a> Request<'a> {
     /// into `out` (cleared first).
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.clear();
+        self.put_body(out);
+    }
+
+    /// Appends the request to `out` as one complete frame, length prefix
+    /// included, ready for [`crate::wire::write_encoded_frame`].
+    pub fn encode_frame(&self, out: &mut Vec<u8>) {
+        put_frame(out, |out| self.put_body(out));
+    }
+
+    fn put_body(&self, out: &mut Vec<u8>) {
         out.push(PROTOCOL_VERSION);
         match self {
             Request::CreateStream { name, config } => {
@@ -326,10 +344,13 @@ impl<'a> Request<'a> {
     /// client-side counterpart of the zero-copy server decode).
     pub fn encode_batch(out: &mut Vec<u8>, feed: bool, name: &str, ids: &[NodeId]) {
         out.clear();
-        out.push(PROTOCOL_VERSION);
-        out.push(if feed { OP_FEED_BATCH } else { OP_INGEST });
-        put_str(out, name);
-        put_ids(out, ids);
+        put_batch(out, feed, name, ids);
+    }
+
+    /// [`Request::encode_batch`] as one complete frame appended to `out`
+    /// (see [`Request::encode_frame`]).
+    pub fn encode_batch_frame(out: &mut Vec<u8>, feed: bool, name: &str, ids: &[NodeId]) {
+        put_frame(out, |out| put_batch(out, feed, name, ids));
     }
 
     /// Decodes a frame body.
@@ -598,6 +619,16 @@ impl Response {
     /// Encodes the response as a frame body into `out` (cleared first).
     pub fn encode(&self, out: &mut Vec<u8>) {
         out.clear();
+        self.put_body(out);
+    }
+
+    /// Appends the response to `out` as one complete frame, length prefix
+    /// included (see [`Request::encode_frame`]).
+    pub fn encode_frame(&self, out: &mut Vec<u8>) {
+        put_frame(out, |out| self.put_body(out));
+    }
+
+    fn put_body(&self, out: &mut Vec<u8>) {
         out.push(PROTOCOL_VERSION);
         match self {
             Response::Ok => out.push(RESP_OK),

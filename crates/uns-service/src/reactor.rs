@@ -210,7 +210,6 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
     let mut next_token = FIRST_CONN;
     let mut events: Vec<epoll::Event> = Vec::new();
     let mut done: Vec<(u64, Response)> = Vec::new();
-    let mut scratch = Vec::new();
     let mut touched: Vec<u64> = Vec::new();
     // When set, the listener is deregistered until this instant (accept
     // backoff after fd exhaustion).
@@ -256,8 +255,8 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
                 }
                 _ => response,
             };
-            respond(conn, response, server, &mut scratch);
-            advance(conn, token, server, &config, &rmetrics, &completions, &waker, &mut scratch);
+            respond(conn, response, server);
+            advance(conn, token, server, &config, &rmetrics, &completions, &waker);
             touched.push(token);
         }
 
@@ -286,16 +285,7 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
                     let Some(conn) = conns.get_mut(&token) else { continue };
                     if event.readable {
                         fill_read_buf(conn, &config);
-                        advance(
-                            conn,
-                            token,
-                            server,
-                            &config,
-                            &rmetrics,
-                            &completions,
-                            &waker,
-                            &mut scratch,
-                        );
+                        advance(conn, token, server, &config, &rmetrics, &completions, &waker);
                     }
                     touched.push(token);
                 }
@@ -326,16 +316,7 @@ pub(crate) fn run(server: &Server, listener: TcpListener, config: ReactorConfig)
                 if before < 4 {
                     break;
                 }
-                advance(
-                    conn,
-                    token,
-                    server,
-                    &config,
-                    &rmetrics,
-                    &completions,
-                    &waker,
-                    &mut scratch,
-                );
+                advance(conn, token, server, &config, &rmetrics, &completions, &waker);
                 if conn.read_buf.len() - conn.read_pos == before {
                     break; // only a partial frame left: nothing consumable
                 }
@@ -446,11 +427,8 @@ fn accept_ready(
 /// then the socket drops.
 fn refuse(mut stream: TcpStream, rmetrics: &ReactorMetrics) {
     rmetrics.rejected.inc();
-    let mut body = Vec::new();
-    Response::Busy.encode(&mut body);
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&u32::try_from(body.len()).expect("tiny frame").to_le_bytes());
-    frame.extend_from_slice(&body);
+    let mut frame = Vec::new();
+    Response::Busy.encode_frame(&mut frame);
     stream.set_nonblocking(true).ok();
     let _ = stream.write(&frame);
 }
@@ -525,7 +503,6 @@ fn advance(
     rmetrics: &ReactorMetrics,
     completions: &CompletionQueue,
     waker: &Arc<epoll::Waker>,
-    scratch: &mut Vec<u8>,
 ) {
     loop {
         if conn.inflight.is_some() || conn.closing || conn.broken {
@@ -545,7 +522,7 @@ fn advance(
             // Framing is poisoned, exactly like the blocking path's
             // read_frame error: answer once, then close.
             let message = format!("{body_len}-byte frame exceeds the {MAX_FRAME_LEN}-byte cap");
-            respond(conn, Response::Error { code: ErrorCode::Other, message }, server, scratch);
+            respond(conn, Response::Error { code: ErrorCode::Other, message }, server);
             conn.closing = true;
             return;
         }
@@ -570,7 +547,6 @@ fn advance(
                         ),
                     },
                     server,
-                    scratch,
                 );
                 continue;
             }
@@ -593,7 +569,6 @@ fn advance(
                     conn,
                     Response::Error { code: ErrorCode::Other, message: err.to_string() },
                     server,
-                    scratch,
                 );
                 conn.closing = true;
                 return;
@@ -601,7 +576,7 @@ fn advance(
         };
         conn.read_pos += 4 + body_len;
         match routed {
-            Routed::Immediate(response) => respond(conn, response, server, scratch),
+            Routed::Immediate(response) => respond(conn, response, server),
             Routed::Blocking { replace, op } => {
                 // Create/restore keep their synchronous two-phase
                 // protocol; they are rare and rollback-correct this way.
@@ -613,7 +588,7 @@ fn advance(
                     replace,
                     op,
                 );
-                respond(conn, response, server, scratch);
+                respond(conn, response, server);
             }
             Routed::Enqueue { entry, op, fold } => {
                 let reply = ReplyTo::Reactor(CompletionSender {
@@ -629,7 +604,7 @@ fn advance(
                     server.metrics(),
                     reply,
                 ) {
-                    Some(response) => respond(conn, response, server, scratch),
+                    Some(response) => respond(conn, response, server),
                     None => {
                         conn.inflight = Some(InFlight { entry, fold });
                         return;
@@ -657,14 +632,11 @@ fn admit(conn: &mut Conn, limit: RateLimit) -> bool {
 /// Encodes one reply frame onto the connection's write buffer, recycling
 /// a Fed reply's pooled outputs buffer (same contract as the blocking
 /// path's connection loop).
-fn respond(conn: &mut Conn, response: Response, server: &Server, scratch: &mut Vec<u8>) {
-    encode_bounded(&response, scratch);
+fn respond(conn: &mut Conn, response: Response, server: &Server) {
+    encode_bounded(&response, &mut conn.write_buf);
     if let Response::Fed { outputs, .. } = response {
         server.pool.put(outputs);
     }
-    let len = u32::try_from(scratch.len()).expect("encode_bounded caps the body");
-    conn.write_buf.extend_from_slice(&len.to_le_bytes());
-    conn.write_buf.extend_from_slice(scratch);
 }
 
 /// Writes pending reply bytes until the socket would block.

@@ -51,7 +51,7 @@ use crate::wal::{
     encode_record, parse_wal, DurabilityStats, DurableSnapshot, FsyncPolicy, WalOp, WalOpRef,
     WalWriter, WAL_HEADER_LEN,
 };
-use crate::wire::{read_frame, write_frame, MAX_FRAME_LEN};
+use crate::wire::{read_frame, write_encoded_frame, FRAME_PREFIX_LEN, MAX_FRAME_LEN};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::TcpListener;
@@ -150,6 +150,9 @@ pub(crate) enum StreamOp {
     Floor,
     Snapshot,
     Stats,
+    /// [`Server::stop`]'s nudge to a worker blocked on an empty queue:
+    /// never executed — the worker sees the shutdown flag and exits.
+    Wake,
     /// Test hook: panics inside the worker, exercising panic isolation.
     #[cfg(test)]
     Panic,
@@ -256,26 +259,51 @@ impl BufferPool {
 }
 
 /// Primary-side replication hook: ships each WAL record to the stream's
-/// replicas **before** it is appended to the primary's own log.
+/// replicas, in two phases that bracket the primary's own append and apply.
 ///
-/// The owning worker calls [`ReplicationSink::ship`] synchronously on the
-/// mutating-op path, so the sink sees a frozen stream: no other op can
-/// append to the WAL while a ship (or the attach/catch-up it triggers) is
-/// in flight. Shipping *before* the local append means a crash between the
-/// two leaves the replica at most one record **ahead** of the primary —
-/// an unacknowledged op the client replays through its position resync —
-/// never behind on an acknowledged one.
+/// The owning worker drives one mutating op as:
 ///
-/// `record` is the exact CRC-framed encoding that is about to land in the
-/// primary's log ([`crate::wal::encode_record`] is deterministic, so the
-/// replica's log is byte-identical by construction). Errors are the sink's
-/// to handle: a failed ship detaches the session and the primary keeps
-/// serving degraded; the server never blocks an op on a sick replica
-/// beyond the sink's own timeout.
+/// 1. encode the record once ([`crate::wal::encode_record`]);
+/// 2. [`ReplicationSink::send`] it — attach and catch-up, when a session
+///    needs them, run synchronously inside this call, while the stream's
+///    WAL is frozen (no other op can append to it), so the catch-up slice
+///    plus the shipped record is gap-free by construction;
+/// 3. append the *same bytes* to the local log
+///    ([`crate::wal::WalWriter::append_encoded`]) and apply the op — the
+///    replica's round trip overlaps this work;
+/// 4. [`ReplicationSink::collect`] the replica acks, before the reply is
+///    built. A client is acknowledged only after the local append **and**
+///    the replicas' durable acks.
+///
+/// # Ship ordering
+///
+/// Between `send` and `collect` the replica and the primary race. A crash
+/// or failure in that window leaves the replica at most one record
+/// **ahead** (the ship landed, the local append did not) or one record
+/// **behind** (the local append landed, the ship did not) — and only ever
+/// on the op in flight, which was never acknowledged; the client's
+/// position resync classifies it. No acknowledged op is ever missing from
+/// a live replica.
+///
+/// If `collect` never runs for a `send` (the worker panicked, or the
+/// local append failed), the sink must drain or drop that session before
+/// it ships again: a stale ack must never be read as the next one. A
+/// replica found ahead of the primary is re-attached from the durable
+/// snapshot, which discards its extra record.
+///
+/// Errors are the sink's to handle: a failed ship detaches the session
+/// and the primary keeps serving degraded; the server never blocks an op
+/// on a sick replica beyond the sink's own timeout.
 pub trait ReplicationSink: Send + Sync {
-    /// Ships one record for `stream`: `seq` is the sequence the record
-    /// will occupy, `generation` the incarnation appending it.
-    fn ship(&self, stream: &str, generation: u64, seq: u64, record: &[u8]);
+    /// Sends one record for `stream` without waiting for acks: `seq` is
+    /// the sequence the record will occupy in the primary's log,
+    /// `generation` the incarnation appending it, `record` its exact
+    /// CRC-framed bytes.
+    fn send(&self, stream: &str, generation: u64, seq: u64, record: &[u8]);
+
+    /// Waits for the replica acks of the record [`ReplicationSink::send`]
+    /// shipped for `stream` at `seq`.
+    fn collect(&self, stream: &str, seq: u64);
 }
 
 /// Replica-side replication hook: applies shipments arriving over the
@@ -628,11 +656,23 @@ impl Server {
 
     /// Makes every [`Server::serve`] / [`Server::serve_reactor`] /
     /// [`Server::serve_metrics_http`] loop return: sets the flag, then
-    /// wakes each loop blocked in a poller wait.
+    /// wakes each loop blocked in a poller wait. The workers exit too:
+    /// each one blocked on an empty queue is nudged awake, and a busy one
+    /// sees the flag before its next job.
     pub fn stop(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
         for waker in self.accept_wakers.lock().expect("accept waker lock poisoned").iter() {
             waker.wake();
+        }
+        for sender in &self.senders {
+            // A full queue means the worker is awake already; a
+            // disconnected one means it has exited.
+            let (reply, _) = mpsc::sync_channel(1);
+            let _ = sender.try_send(Job {
+                stream: 0,
+                op: StreamOp::Wake,
+                reply: ReplyTo::Channel(reply),
+            });
         }
     }
 
@@ -814,6 +854,9 @@ struct DurableStream {
     /// Counters as of the last persisted snapshot (plus recoveries since);
     /// the live totals add the writer's appended bytes/records on top.
     counters: DurabilityStats,
+    /// Reused encode buffer of the record in flight: the one encoding
+    /// both shipped to the replicas and appended locally.
+    record: Vec<u8>,
 }
 
 impl DurableStream {
@@ -930,7 +973,7 @@ fn recover_stream(
     let mut state = StreamState {
         sampler,
         stats,
-        durable: Some(DurableStream { name: name.to_string(), wal, counters }),
+        durable: Some(DurableStream { name: name.to_string(), wal, counters, record: Vec::new() }),
         metrics: metrics.stream(name),
     };
     if let Some(durable) = state.durable.as_mut() {
@@ -1015,7 +1058,12 @@ fn create_durable_stream(
     let store = backend.open_wal(name).map_err(|e| CreateDurableError::Committed(e.into()))?;
     let wal = WalWriter::create(store, generation, 0, fsync)
         .map_err(|e| CreateDurableError::Committed(e.into()))?;
-    Ok(DurableStream { name: name.to_string(), wal, counters: DurabilityStats::default() })
+    Ok(DurableStream {
+        name: name.to_string(),
+        wal,
+        counters: DurabilityStats::default(),
+        record: Vec::new(),
+    })
 }
 
 /// Compacts the stream's log when it crossed the size threshold: persist a
@@ -1093,28 +1141,35 @@ fn worker_main(
     metrics: &Arc<ServiceMetrics>,
     sink: &SinkCell,
 ) {
+    // Timer-policy WAL deadlines: the worker sleeps until the earliest
+    // one (or indefinitely when no stream has unsynced Timer records).
+    let timer_policy = matches!(durability.as_ref().map(|d| d.fsync), Some(FsyncPolicy::Timer(_)));
+    let mut timer_deadline: Option<Instant> = None;
     loop {
         // The shutdown check runs every iteration, not only when the
-        // bounded-wait receive times out: a connected client keeping jobs
-        // flowing would otherwise starve the timeout arm forever and
-        // `Drop` (which joins the workers) would hang under active load.
+        // queue goes quiet: a connected client keeping jobs flowing must
+        // not keep `Drop` (which joins the workers) waiting.
         if shutdown.load(Ordering::Relaxed) {
             break;
         }
-        // Bounded-wait receive: connection threads hold clones of the job
-        // senders, so the channel does not disconnect while connections
-        // are open — the shutdown flag is what makes Drop terminate
-        // promptly even with idle connections attached.
-        let job = match rx.recv_timeout(std::time::Duration::from_millis(25)) {
+        // Connection threads hold clones of the job senders, so the
+        // channel does not disconnect while connections are open;
+        // `Server::stop` nudges a worker blocked here with a Wake job.
+        let received = match timer_deadline {
+            Some(deadline) => rx.recv_timeout(deadline.saturating_duration_since(Instant::now())),
+            None => rx.recv().map_err(|_| mpsc::RecvTimeoutError::Disconnected),
+        };
+        let job = match received {
             Ok(job) => job,
             Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Idle tick: flush Timer-policy WALs whose interval has
-                // elapsed. The append path only consults the clock while
-                // ops arrive, so without this a record written just
-                // before traffic stops would stay unsynced indefinitely —
-                // the timer policy's loss bound must hold on idle streams
-                // too. A failed sync marks the writer broken; the next op
-                // on that stream heals it through the usual recovery path.
+                // A Timer deadline passed with no op arriving: flush the
+                // WALs whose interval has elapsed. The append path only
+                // consults the clock while ops arrive, so without this a
+                // record written just before traffic stops would stay
+                // unsynced indefinitely — the timer policy's loss bound
+                // must hold on idle streams too. A failed sync marks the
+                // writer broken; the next op on that stream heals it
+                // through the usual recovery path.
                 for state in streams.values_mut() {
                     if let Some(durable) = state.durable.as_mut() {
                         if durable.wal.timer_sync_due() {
@@ -1122,10 +1177,17 @@ fn worker_main(
                         }
                     }
                 }
+                timer_deadline = streams
+                    .values()
+                    .filter_map(|state| state.durable.as_ref()?.wal.timer_sync_deadline())
+                    .min();
                 continue;
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         };
+        if shutdown.load(Ordering::Relaxed) {
+            break; // the Wake job, or a job queued behind the stop
+        }
         // Panic isolation: a bug in one stream's sampler must cost that
         // job an error reply, not the worker thread — a dead worker would
         // leave every stream of this shard permanently unreachable. The
@@ -1180,6 +1242,12 @@ fn worker_main(
             metrics.record_op(op_index, started.elapsed());
         }
         job.reply.send(response);
+        if timer_policy && mutates {
+            let deadline = streams
+                .get(&stream)
+                .and_then(|state| state.durable.as_ref()?.wal.timer_sync_deadline());
+            timer_deadline = timer_deadline.into_iter().chain(deadline).min();
+        }
     }
     // Drain the durability buffers on the way out: an orderly shutdown
     // should not cost the EveryN/Timer loss window.
@@ -1300,7 +1368,7 @@ fn op_mutates(op: &StreamOp) -> bool {
         | StreamOp::Sample => true,
         // Demote only removes state; a panic mid-removal leaves nothing
         // worth healing (the registry entry is already gone).
-        StreamOp::Demote => false,
+        StreamOp::Demote | StreamOp::Wake => false,
         StreamOp::Floor | StreamOp::Snapshot | StreamOp::Stats => false,
         #[cfg(test)]
         StreamOp::Panic => true,
@@ -1315,7 +1383,7 @@ fn op_metric_index(op: &StreamOp) -> Option<usize> {
         StreamOp::Restore(..) => "restore",
         // Promotion and demotion are driven by the mesh, not the wire —
         // no op label.
-        StreamOp::Adopt(..) | StreamOp::Demote => return None,
+        StreamOp::Adopt(..) | StreamOp::Demote | StreamOp::Wake => return None,
         StreamOp::Ingest(_) => "ingest",
         StreamOp::Feed(_) => "feed",
         StreamOp::Sample => "sample",
@@ -1337,11 +1405,20 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
+/// A record [`wal_before_apply`] shipped whose replica acks are still to
+/// be collected ([`collect_acks`]) before the op's reply is built.
+struct Shipped {
+    sink: Arc<dyn ReplicationSink>,
+    seq: u64,
+}
+
 /// Appends `op` to the stream's WAL (when durable) **before** it is
-/// applied. `Ok(())` means the op is durable to the policy's promise and
-/// may be applied; `Err` carries the reply to send instead — the op was
-/// not applied, and a broken writer has already sent the stream through
-/// in-place recovery (or torn it down).
+/// applied, first sending the same encoded record to the replicas when a
+/// [`ReplicationSink`] is installed. `Ok` means the op is durable to the
+/// policy's promise and may be applied; it carries the shipment whose
+/// acks the caller collects after the apply. `Err` carries the reply to
+/// send instead — the op was not applied, and a broken writer has
+/// already sent the stream through in-place recovery (or torn it down).
 #[allow(clippy::too_many_arguments)]
 fn wal_before_apply(
     streams: &mut HashMap<u64, StreamState>,
@@ -1352,34 +1429,35 @@ fn wal_before_apply(
     pool_size: usize,
     metrics: &ServiceMetrics,
     sink: &SinkCell,
-) -> Result<(), Response> {
+) -> Result<Option<Shipped>, Response> {
     let Some(state) = streams.get_mut(&stream) else {
         return Err(unknown_stream());
     };
     let Some(durable) = state.durable.as_mut() else {
-        return Ok(()); // non-durable server: nothing to log
+        return Ok(None); // non-durable server: nothing to log
     };
-    // Injected worker panic: scheduled *before* the WAL append, so a
-    // panicked op is never logged, never applied, never acknowledged.
+    // Encode once; the worker owns the stream exclusively, so the sink
+    // sees a frozen WAL — an attach / catch-up it performs inside `send`
+    // cannot race new appends.
+    durable.record.clear();
+    encode_record(&mut durable.record, op);
+    let seq = durable.wal.next_seq();
+    let shipper = sink.lock().expect("replication sink lock poisoned").clone();
+    let shipped = shipper.map(|sink| {
+        sink.send(&durable.name, durable.wal.generation(), seq, &durable.record);
+        Shipped { sink, seq }
+    });
+    // Injected worker panic: between the send and the local append, so a
+    // panicked op is never logged here, never applied, never acknowledged
+    // — and a replicated one leaves its ack uncollected, the window the
+    // sink must drain before its next ship.
     if let Some(plan) = durability.as_ref().and_then(|d| d.fault_plan.as_ref()) {
         if plan.worker_panics() {
             panic!("injected worker panic");
         }
     }
-    // Ship-before-append (see [`ReplicationSink`]): the worker owns the
-    // stream exclusively, so the sink sees a frozen WAL — an attach /
-    // catch-up it performs inside this call cannot race new appends. The
-    // record is encoded separately from the local append, but
-    // `encode_record` is deterministic, so the replica's log bytes are
-    // identical to the primary's by construction.
-    let shipper = sink.lock().expect("replication sink lock poisoned").clone();
-    if let Some(shipper) = shipper {
-        let mut record = Vec::new();
-        encode_record(&mut record, op);
-        shipper.ship(&durable.name, durable.wal.generation(), durable.wal.next_seq(), &record);
-    }
-    match durable.wal.append_op(op) {
-        Ok(()) => Ok(()),
+    match durable.wal.append_encoded(&durable.record) {
+        Ok(()) => Ok(shipped),
         Err(err) => {
             let broken = durable.wal.is_broken();
             let message = if broken {
@@ -1397,6 +1475,14 @@ fn wal_before_apply(
             };
             Err(Response::Error { code: ErrorCode::Durability, message })
         }
+    }
+}
+
+/// Waits for the replica acks of an op [`wal_before_apply`] shipped —
+/// after the apply, before the reply.
+fn collect_acks(state: &StreamState, shipped: Option<Shipped>) {
+    if let (Some(shipped), Some(durable)) = (shipped, state.durable.as_ref()) {
+        shipped.sink.collect(&durable.name, shipped.seq);
     }
 }
 
@@ -1562,7 +1648,7 @@ fn execute_job(
             None => unknown_stream(),
         },
         StreamOp::Ingest(ids) => {
-            if let Err(reply) = wal_before_apply(
+            let shipped = match wal_before_apply(
                 streams,
                 stream,
                 WalOpRef::Ingest(&ids),
@@ -1572,9 +1658,12 @@ fn execute_job(
                 metrics,
                 sink,
             ) {
-                pool.put(ids);
-                return reply;
-            }
+                Ok(shipped) => shipped,
+                Err(reply) => {
+                    pool.put(ids);
+                    return reply;
+                }
+            };
             let state = streams.get_mut(&stream).expect("checked by wal_before_apply");
             let admitted = state.sampler.ingest_batch(&ids);
             state.stats.elements += ids.len() as u64;
@@ -1584,6 +1673,7 @@ fn execute_job(
             state.metrics.pipeline.admitted.add(admitted);
             state.metrics.pipeline.batches.inc();
             state.metrics.observe_floor(state.stats.elements, state.sampler.floor_estimate());
+            collect_acks(state, shipped);
             let response = Response::Ingested { position: state.stats.elements, admitted };
             if let Some(d) = durability {
                 maybe_compact(state, d.compact_bytes, &d.backend);
@@ -1592,7 +1682,7 @@ fn execute_job(
             response
         }
         StreamOp::Feed(ids) => {
-            if let Err(reply) = wal_before_apply(
+            let shipped = match wal_before_apply(
                 streams,
                 stream,
                 WalOpRef::Feed(&ids),
@@ -1602,9 +1692,12 @@ fn execute_job(
                 metrics,
                 sink,
             ) {
-                pool.put(ids);
-                return reply;
-            }
+                Ok(shipped) => shipped,
+                Err(reply) => {
+                    pool.put(ids);
+                    return reply;
+                }
+            };
             let state = streams.get_mut(&stream).expect("checked by wal_before_apply");
             let mut outputs = pool.take();
             let admitted = state.sampler.feed_batch(&ids, &mut outputs);
@@ -1617,6 +1710,7 @@ fn execute_job(
             state.metrics.pipeline.outputs.add(ids.len() as u64);
             state.metrics.pipeline.batches.inc();
             state.metrics.observe_floor(state.stats.elements, state.sampler.floor_estimate());
+            collect_acks(state, shipped);
             let response = Response::Fed { position: state.stats.elements, admitted, outputs };
             if let Some(d) = durability {
                 maybe_compact(state, d.compact_bytes, &d.backend);
@@ -1625,7 +1719,7 @@ fn execute_job(
             response
         }
         StreamOp::Sample => {
-            if let Err(reply) = wal_before_apply(
+            let shipped = wal_before_apply(
                 streams,
                 stream,
                 WalOpRef::Sample,
@@ -1634,11 +1728,14 @@ fn execute_job(
                 pool_size,
                 metrics,
                 sink,
-            ) {
-                return reply;
-            }
+            );
+            let shipped = match shipped {
+                Ok(shipped) => shipped,
+                Err(reply) => return reply,
+            };
             let state = streams.get_mut(&stream).expect("checked by wal_before_apply");
             let response = Response::Sampled(state.sampler.sample());
+            collect_acks(state, shipped);
             if let Some(d) = durability {
                 maybe_compact(state, d.compact_bytes, &d.backend);
             }
@@ -1675,6 +1772,7 @@ fn execute_job(
             }),
             None => unknown_stream(),
         },
+        StreamOp::Wake => Response::Ok,
         #[cfg(test)]
         StreamOp::Panic => panic!("test-injected worker panic"),
     }
@@ -1711,7 +1809,7 @@ fn handle_connection<T: Transport>(
 ) -> Result<(), ServiceError> {
     let mut writer = transport.try_clone_transport()?;
     let mut frame = Vec::new();
-    let mut body = Vec::new();
+    let mut reply = Vec::new();
     loop {
         match read_frame(&mut transport, &mut frame) {
             Ok(true) => {}
@@ -1728,24 +1826,28 @@ fn handle_connection<T: Transport>(
             Err(err) => {
                 // A malformed frame poisons stream framing: answer, close.
                 let response = Response::Error { code: ErrorCode::Other, message: err.to_string() };
-                response.encode(&mut body);
-                let _ = write_frame(&mut writer, &body);
+                reply.clear();
+                encode_bounded(&response, &mut reply);
+                let _ = write_encoded_frame(&mut writer, &reply);
                 return Err(err);
             }
         };
-        encode_bounded(&response, &mut body);
+        reply.clear();
+        encode_bounded(&response, &mut reply);
         if let Response::Fed { outputs, .. } = response {
-            pool.put(outputs); // encoded into `body`; the buffer recycles
+            pool.put(outputs); // encoded into `reply`; the buffer recycles
         }
-        write_frame(&mut writer, &body)?;
+        write_encoded_frame(&mut writer, &reply)?;
     }
 }
 
-/// Encodes `response` into `body`, downgrading an encoding too large to
-/// frame (e.g. the snapshot of an Exact-estimator stream with tens of
-/// millions of distinct identifiers) into an application error — the peer
-/// gets a reply either way, never a killed connection.
-pub(crate) fn encode_bounded(response: &Response, body: &mut Vec<u8>) {
+/// Appends `response` to `out` as one complete frame (length prefix
+/// included), downgrading an encoding too large to frame (e.g. the
+/// snapshot of an Exact-estimator stream with tens of millions of
+/// distinct identifiers) into an application error — the peer gets a
+/// reply either way, never a killed connection.
+pub(crate) fn encode_bounded(response: &Response, out: &mut Vec<u8>) {
+    let start = out.len();
     // A snapshot is the one response whose size is unbounded (batches are
     // capped, everything else is fixed-width): reject it *before* copying
     // hundreds of megabytes into the connection's long-lived buffer just
@@ -1754,15 +1856,17 @@ pub(crate) fn encode_bounded(response: &Response, body: &mut Vec<u8>) {
         if bytes.len() + 6 > MAX_FRAME_LEN {
             let message =
                 format!("{}-byte snapshot exceeds the {MAX_FRAME_LEN}-byte frame cap", bytes.len());
-            Response::Error { code: ErrorCode::Other, message }.encode(body);
+            Response::Error { code: ErrorCode::Other, message }.encode_frame(out);
             return;
         }
     }
-    response.encode(body);
-    if body.len() > MAX_FRAME_LEN {
+    response.encode_frame(out);
+    let body_len = out.len() - start - FRAME_PREFIX_LEN;
+    if body_len > MAX_FRAME_LEN {
+        out.truncate(start);
         let message =
-            format!("{}-byte response exceeds the {MAX_FRAME_LEN}-byte frame cap", body.len());
-        Response::Error { code: ErrorCode::Other, message }.encode(body);
+            format!("{body_len}-byte response exceeds the {MAX_FRAME_LEN}-byte frame cap");
+        Response::Error { code: ErrorCode::Other, message }.encode_frame(out);
     }
 }
 
@@ -2308,10 +2412,12 @@ mod tests {
         // stream with enough distinct ids). The connection must answer
         // with an application error, not die writing an unframeable reply.
         let response = Response::Snapshot(vec![0u8; MAX_FRAME_LEN]);
-        let mut body = Vec::new();
-        encode_bounded(&response, &mut body);
+        let mut frame = Vec::new();
+        encode_bounded(&response, &mut frame);
+        let body = &frame[FRAME_PREFIX_LEN..];
         assert!(body.len() <= MAX_FRAME_LEN);
-        match Response::decode(&body).unwrap() {
+        assert_eq!(frame[..FRAME_PREFIX_LEN], (body.len() as u32).to_le_bytes());
+        match Response::decode(body).unwrap() {
             Response::Error { code: ErrorCode::Other, message } => {
                 assert!(message.contains("frame cap"), "unexpected message: {message}");
             }
@@ -2320,7 +2426,7 @@ mod tests {
         // A response that fits passes through untouched.
         let mut small = Vec::new();
         encode_bounded(&Response::Ok, &mut small);
-        assert_eq!(Response::decode(&small).unwrap(), Response::Ok);
+        assert_eq!(Response::decode(&small[FRAME_PREFIX_LEN..]).unwrap(), Response::Ok);
     }
 
     #[test]
@@ -2333,6 +2439,37 @@ mod tests {
         drop(server);
         // The surviving client gets shutdown errors, not hangs.
         assert!(client.sample("s").is_err());
+    }
+
+    #[test]
+    fn idle_workers_wake_for_timer_deadlines_and_for_stop() {
+        // Idle workers block on their queues until the earliest
+        // Timer-policy WAL deadline, or indefinitely when no stream has
+        // one. The deadline wake must still sync an idle stream's record,
+        // and stop must still reach a worker with no deadline at all
+        // (worker 2 owns no stream) while a connection stays attached.
+        let backend = crate::storage::MemBackend::new();
+        let mut durability = DurabilityConfig::new(Arc::new(backend.clone()));
+        durability.fsync = FsyncPolicy::Timer(std::time::Duration::from_millis(30));
+        let config = ServerConfig { workers: 2, queue_depth: 8 };
+        let server = Server::start_durable(config, durability.clone()).unwrap();
+        let mut client = ServiceClient::new(server.connect_in_process()).unwrap();
+        client.create_stream("s", &test_config()).unwrap();
+        let ids: Vec<NodeId> = (0..64u64).map(NodeId::new).collect();
+        client.ingest("s", &ids).unwrap(); // appended, not yet synced
+        std::thread::sleep(std::time::Duration::from_millis(300));
+        backend.crash(); // only what the deadline wake synced survives
+        let started = Instant::now();
+        drop(server);
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(2),
+            "stop did not wake the idle workers promptly: {:?}",
+            started.elapsed()
+        );
+        assert!(client.sample("s").is_err(), "the attached connection sees the shutdown");
+        let server = Server::start_durable(config, durability).unwrap();
+        let mut client = ServiceClient::new(server.connect_in_process()).unwrap();
+        assert_eq!(client.stats("s").unwrap().pipeline.elements, 64, "idle record never synced");
     }
 
     #[test]

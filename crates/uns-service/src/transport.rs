@@ -7,7 +7,7 @@
 //! exercise the full protocol path (framing, routing, backpressure)
 //! without sockets or port allocation.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -137,8 +137,11 @@ impl Shared {
         }
     }
 
-    fn write(&self, data: &[u8]) -> io::Result<usize> {
-        if data.is_empty() {
+    /// Gathers as much of `bufs` as fits into the buffer under one lock,
+    /// so a vectored frame write lands (and wakes the reader) once.
+    fn write(&self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        let total: usize = bufs.iter().map(|buf| buf.len()).sum();
+        if total == 0 {
             return Ok(0);
         }
         let mut channel = self.channel.lock().expect("pipe lock poisoned");
@@ -148,7 +151,7 @@ impl Shared {
             }
             let free = channel.capacity.saturating_sub(channel.pending());
             if free > 0 {
-                let n = free.min(data.len());
+                let n = free.min(total);
                 if channel.head > 0 {
                     // Compact the consumed prefix before appending so the
                     // buffer never grows past capacity + one write.
@@ -156,7 +159,12 @@ impl Shared {
                     channel.buf.drain(..head);
                     channel.head = 0;
                 }
-                channel.buf.extend_from_slice(&data[..n]);
+                let mut left = n;
+                for buf in bufs {
+                    let take = left.min(buf.len());
+                    channel.buf.extend_from_slice(&buf[..take]);
+                    left -= take;
+                }
                 self.readable.notify_all();
                 return Ok(n);
             }
@@ -235,7 +243,11 @@ impl Read for PipeTransport {
 
 impl Write for PipeTransport {
     fn write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.outgoing.write(data)
+        self.outgoing.write(&[IoSlice::new(data)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        self.outgoing.write(bufs)
     }
 
     fn flush(&mut self) -> io::Result<()> {

@@ -54,8 +54,9 @@
 //! * [`FsyncPolicy::EveryN`]`(n)` — sync every `n`-th record. Up to `n-1`
 //!   *acknowledged* ops can be lost on crash.
 //! * [`FsyncPolicy::Timer`]`(d)` — sync when at least `d` has elapsed since
-//!   the last sync (checked at each append; there is no background timer
-//!   thread). Loss window: the ops acknowledged since the last sync.
+//!   the last sync (checked at each append, and by the owning worker when
+//!   its idle wait reaches [`WalWriter::timer_sync_deadline`]; there is no
+//!   timer thread). Loss window: the ops acknowledged since the last sync.
 
 use crate::error::ServiceError;
 use crate::storage::WalStore;
@@ -88,7 +89,8 @@ pub enum FsyncPolicy {
     /// Sync every `n`-th record: up to `n-1` acknowledged ops lost.
     EveryN(u32),
     /// Sync when at least this long has passed since the last sync
-    /// (evaluated at append time; no background timer).
+    /// (evaluated at append time and at the owning worker's deadline
+    /// wake; no timer thread).
     Timer(Duration),
 }
 
@@ -218,12 +220,11 @@ pub fn encode_record(out: &mut Vec<u8>, op: WalOpRef<'_>) {
     out[body_start - 4..body_start].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Decodes the record starting at `bytes[offset..]`. Returns the operation
-/// and the total framed length consumed, or `None` when the bytes from
-/// `offset` on do not form a complete, CRC-valid record — the torn-tail
-/// signal that stops replay. Never panics, never allocates before the
-/// claimed batch size has been validated against the bytes present.
-pub fn decode_record(bytes: &[u8], offset: usize) -> Option<(WalOp, usize)> {
+/// The CRC-valid, well-formed body (`[opcode][payload]`) of the record
+/// framed at `bytes[offset..]`: the length, CRC, opcode and payload-shape
+/// checks [`check_record`] and [`decode_record`] share. A batch body's
+/// claimed count must match the bytes actually present.
+fn checked_body(bytes: &[u8], offset: usize) -> Option<&[u8]> {
     let rest = bytes.get(offset..)?;
     if rest.len() < 8 {
         return None;
@@ -237,34 +238,45 @@ pub fn decode_record(bytes: &[u8], offset: usize) -> Option<(WalOp, usize)> {
     if crc32(body) != crc {
         return None;
     }
-    let mut cur = Cursor::new(&body[1..]);
-    let op = match body[0] {
+    let well_formed = match body[0] {
         OP_INGEST | OP_FEED => {
-            let count = cur.u32().ok()? as usize;
-            // Validate the claimed count against the CRC-checked body
-            // before allocating from it.
-            if count.checked_mul(8)? != cur.remaining() {
-                return None;
-            }
-            let mut ids = Vec::with_capacity(count);
-            for _ in 0..count {
-                ids.push(NodeId::new(cur.u64().ok()?));
-            }
-            if body[0] == OP_INGEST {
-                WalOp::Ingest(ids)
-            } else {
-                WalOp::Feed(ids)
-            }
+            let count = Cursor::new(&body[1..]).u32().ok()? as usize;
+            count.checked_mul(8)? == body.len() - 5
         }
-        OP_SAMPLE => {
-            if cur.remaining() != 0 {
-                return None;
-            }
-            WalOp::Sample
-        }
-        _ => return None,
+        OP_SAMPLE => body.len() == 1,
+        _ => false,
     };
-    Some((op, 8 + len))
+    well_formed.then_some(body)
+}
+
+/// Validates the record framed at `bytes[offset..]` without decoding it:
+/// returns its total framed length when it is complete, CRC-valid and
+/// well-formed, `None` otherwise. A record that passes decodes with
+/// [`decode_record`] and can be appended verbatim with
+/// [`WalWriter::append_encoded`] — one CRC pass, no batch materialised.
+pub fn check_record(bytes: &[u8], offset: usize) -> Option<usize> {
+    checked_body(bytes, offset).map(|body| 8 + body.len())
+}
+
+/// Decodes the record starting at `bytes[offset..]`. Returns the operation
+/// and the total framed length consumed, or `None` when the bytes from
+/// `offset` on do not form a complete, CRC-valid record — the torn-tail
+/// signal that stops replay. Never panics, never allocates before the
+/// claimed batch size has been validated against the bytes present.
+pub fn decode_record(bytes: &[u8], offset: usize) -> Option<(WalOp, usize)> {
+    let body = checked_body(bytes, offset)?;
+    let ids = || -> Vec<NodeId> {
+        body[5..]
+            .chunks_exact(8)
+            .map(|id| NodeId::new(u64::from_le_bytes(id.try_into().expect("8 bytes"))))
+            .collect()
+    };
+    let op = match body[0] {
+        OP_INGEST => WalOp::Ingest(ids()),
+        OP_FEED => WalOp::Feed(ids()),
+        _ => WalOp::Sample,
+    };
+    Some((op, 8 + body.len()))
 }
 
 // ---------------------------------------------------------------------------
@@ -527,13 +539,40 @@ impl WalWriter {
     /// applied; check [`WalWriter::is_broken`] to see whether in-place
     /// repair succeeded (stream usable) or recovery is required.
     pub fn append_op(&mut self, op: WalOpRef<'_>) -> io::Result<()> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        encode_record(&mut scratch, op);
+        let result = self.append_encoded(&scratch);
+        self.scratch = scratch;
+        result
+    }
+
+    /// Appends one record that is already framed (`[len][crc][opcode]
+    /// [payload]`, as [`encode_record`] produces or [`check_record`]
+    /// accepted) and applies the fsync policy — [`WalWriter::append_op`]
+    /// without the encode. The replication path encodes each record once
+    /// and hands the same bytes to the replica and to this call, so both
+    /// logs stay byte-identical.
+    ///
+    /// The bytes are not re-validated here; only the frame's length field
+    /// is checked against `record.len()`.
+    ///
+    /// # Errors
+    ///
+    /// As [`WalWriter::append_op`]; a length mismatch is `InvalidInput`
+    /// and writes nothing.
+    pub fn append_encoded(&mut self, record: &[u8]) -> io::Result<()> {
         if self.broken {
             return Err(io::Error::other("wal writer broken by an earlier failed repair"));
         }
-        self.scratch.clear();
-        encode_record(&mut self.scratch, op);
+        let framed = record.len() >= 9
+            && u32::from_le_bytes(record[0..4].try_into().expect("4 bytes")) as usize
+                == record.len() - 8;
+        if !framed {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "not one framed wal record"));
+        }
         let started = self.metrics.as_ref().map(|_| Instant::now());
-        if let Err(err) = append_all(self.store.as_mut(), &self.scratch) {
+        if let Err(err) = append_all(self.store.as_mut(), record) {
             // Torn write: some prefix may be on disk. Repair by truncating
             // back to the known-good length.
             if self.store.truncate(self.len).is_err() || self.store.sync().is_err() {
@@ -541,14 +580,15 @@ impl WalWriter {
             }
             return Err(err);
         }
-        self.len += self.scratch.len() as u64;
+        let bytes = record.len() as u64;
+        self.len += bytes;
         self.next_seq += 1;
         self.appended_records += 1;
-        self.appended_bytes += self.scratch.len() as u64;
+        self.appended_bytes += bytes;
         self.records_since_sync += 1;
         if let (Some(metrics), Some(started)) = (&self.metrics, started) {
             metrics.append_nanos.record_duration(started.elapsed());
-            metrics.bytes.add(self.scratch.len() as u64);
+            metrics.bytes.add(bytes);
             metrics.records.inc();
         }
         let due = match self.policy {
@@ -562,21 +602,29 @@ impl WalWriter {
         Ok(())
     }
 
-    /// `true` when a [`FsyncPolicy::Timer`] writer has unsynced records
-    /// whose interval has elapsed.
+    /// When a [`FsyncPolicy::Timer`] writer's unsynced records fall due:
+    /// the last sync plus the interval. `None` when nothing is unsynced or
+    /// the policy is not `Timer`.
     ///
     /// The append path only checks the clock *while ops arrive*: a record
     /// written just before traffic stops would otherwise sit unsynced
     /// until the next append — unbounded exposure on an idle stream,
-    /// exactly what the timer policy promises to bound. The worker polls
-    /// this from its idle tick and calls [`WalWriter::sync`] when due.
-    pub fn timer_sync_due(&self) -> bool {
+    /// exactly what the timer policy promises to bound. The owning worker
+    /// sleeps until the earliest deadline of its streams and calls
+    /// [`WalWriter::sync`] on the ones due ([`WalWriter::timer_sync_due`]).
+    pub fn timer_sync_deadline(&self) -> Option<Instant> {
         match self.policy {
-            FsyncPolicy::Timer(interval) => {
-                self.records_since_sync > 0 && self.last_sync.elapsed() >= interval
+            FsyncPolicy::Timer(interval) if self.records_since_sync > 0 => {
+                Some(self.last_sync + interval)
             }
-            FsyncPolicy::PerOp | FsyncPolicy::EveryN(_) => false,
+            FsyncPolicy::Timer(_) | FsyncPolicy::PerOp | FsyncPolicy::EveryN(_) => None,
         }
+    }
+
+    /// `true` when a [`FsyncPolicy::Timer`] writer has unsynced records
+    /// whose interval has elapsed (see [`WalWriter::timer_sync_deadline`]).
+    pub fn timer_sync_due(&self) -> bool {
+        self.timer_sync_deadline().is_some_and(|deadline| Instant::now() >= deadline)
     }
 
     /// Forces a sync (used by compaction and shutdown).

@@ -21,7 +21,7 @@
 //! [`crate::protocol::IdsView`]), not as freshly allocated vectors.
 
 use crate::error::ServiceError;
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Wire protocol version this build speaks. v2 grew the Stats payload
 /// (durability counters) and the Durability error code.
@@ -172,22 +172,73 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// Writes `body` as one length-prefixed frame and flushes.
+/// Bytes reserved at the front of an encoded frame for its length prefix.
+pub const FRAME_PREFIX_LEN: usize = 4;
+
+/// Appends one complete frame to `out`: reserves the length prefix, lets
+/// `body` append the frame body after it, then patches the prefix. The
+/// caller that writes the frame checks the [`MAX_FRAME_LEN`] cap
+/// ([`write_encoded_frame`]); a body past `u32::MAX` bytes patches a
+/// prefix that cap check rejects.
+pub fn put_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0u8; FRAME_PREFIX_LEN]);
+    body(out);
+    let len = u32::try_from(out.len() - start - FRAME_PREFIX_LEN).unwrap_or(u32::MAX);
+    out[start..start + FRAME_PREFIX_LEN].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Writes one frame encoded by [`put_frame`] (prefix included) with a
+/// single `write_all` and flushes. One write per frame matters under
+/// `TCP_NODELAY`: a separate prefix write goes out as its own segment
+/// and costs the peer an extra wake-up per message.
+///
+/// # Errors
+///
+/// [`ServiceError::Protocol`] when the body exceeds [`MAX_FRAME_LEN`] or
+/// `frame` is shorter than its prefix; [`ServiceError::Io`] on transport
+/// failure.
+pub fn write_encoded_frame<W: Write>(writer: &mut W, frame: &[u8]) -> Result<(), ServiceError> {
+    let body_len = frame.len().checked_sub(FRAME_PREFIX_LEN).ok_or_else(|| {
+        ServiceError::Protocol("encoded frame is shorter than its length prefix".into())
+    })?;
+    check_body_len(body_len)?;
+    writer.write_all(frame)?;
+    writer.flush()?;
+    Ok(())
+}
+
+fn check_body_len(len: usize) -> Result<(), ServiceError> {
+    if len > MAX_FRAME_LEN {
+        return Err(ServiceError::Protocol(format!(
+            "frame body of {len} bytes exceeds the {MAX_FRAME_LEN}-byte cap"
+        )));
+    }
+    Ok(())
+}
+
+/// Writes `body` as one length-prefixed frame and flushes. Prefix and
+/// body go out in one vectored write (a single `writev` on a socket)
+/// unless the transport accepts only part of it, so a caller holding a
+/// bare body still costs one write per frame without copying it.
 ///
 /// # Errors
 ///
 /// [`ServiceError::Protocol`] when `body` exceeds [`MAX_FRAME_LEN`];
 /// [`ServiceError::Io`] on transport failure.
 pub fn write_frame<W: Write>(writer: &mut W, body: &[u8]) -> Result<(), ServiceError> {
-    if body.len() > MAX_FRAME_LEN {
-        return Err(ServiceError::Protocol(format!(
-            "frame body of {} bytes exceeds the {MAX_FRAME_LEN}-byte cap",
-            body.len()
-        )));
-    }
+    check_body_len(body.len())?;
     let len = (body.len() as u32).to_le_bytes();
-    writer.write_all(&len)?;
-    writer.write_all(body)?;
+    let mut bufs = [IoSlice::new(&len), IoSlice::new(body)];
+    let mut bufs = &mut bufs[..];
+    while !bufs.is_empty() {
+        match writer.write_vectored(bufs) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => {}
+            Err(err) => return Err(err.into()),
+        }
+    }
     writer.flush()?;
     Ok(())
 }
